@@ -5,7 +5,7 @@
 // This bench drives its scheme × rate grid through the campaign engine
 // (src/campaign/) instead of a hand-rolled loop: the grid is declared as a
 // Manifest, executed on the work-stealing runner, and cells are read back
-// with average_cell — the same path `rcast_campaign run` uses.
+// with average_cell — the same runner `rcast_campaignd run` workers use.
 #include "bench/bench_common.hpp"
 #include "campaign/runner.hpp"
 

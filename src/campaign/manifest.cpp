@@ -102,14 +102,14 @@ constexpr std::pair<std::string_view, std::string_view> kAxisOwned[] = {
     {"nodes", "nodes"},      {"seed", "seeds / seed_base"},
 };
 
+}  // namespace
+
 std::string_view axis_owner(std::string_view param) {
   for (const auto& [p, owner] : kAxisOwned) {
     if (p == param) return owner;
   }
   return {};
 }
-
-}  // namespace
 
 Manifest parse_manifest(std::string_view text) {
   Manifest m;

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "scenario/scenario.hpp"
@@ -102,6 +103,12 @@ Manifest parse_manifest(std::string_view text);
 
 /// Reads and parses a manifest file; ManifestError on I/O failure too.
 Manifest parse_manifest_file(const std::string& path);
+
+/// The manifest key that owns a grid-axis parameter ("rate_pps" ->
+/// "rates_pps", "seed" -> "seeds / seed_base"), or empty when `param` is
+/// not grid-owned. Grid-owned parameters are set only through those keys:
+/// not as manifest overrides or extra axes, and not by a CLI's --set.
+std::string_view axis_owner(std::string_view param);
 
 /// One expanded grid point.
 struct Job {

@@ -1,6 +1,6 @@
 // Structured result store for campaigns: one JSONL record per finished job
 // (config + full RunResult + perf counters), plus aggregation into the
-// paper-style per-cell CSV the bench binaries and `rcast_campaign export`
+// paper-style per-cell CSV the bench binaries and `rcast_campaignd export`
 // print.
 //
 // Determinism contract: records are written with fixed field order and

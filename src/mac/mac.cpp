@@ -4,7 +4,6 @@
 
 #include "stats/telemetry.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 #include "util/pool.hpp"
 
 namespace rcast::mac {

@@ -5,7 +5,6 @@
 
 #include "stats/telemetry.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace rcast::phy {
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace rcast::routing {
 

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 #include "util/pool.hpp"
 
 namespace rcast::routing {

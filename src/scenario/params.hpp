@@ -8,7 +8,7 @@
 //      or a sweep axis (campaign/manifest.cpp),
 //   2. config digests — campaign::config_digest mixes every in_digest
 //      param, so no behavior-affecting field can alias a resumed job,
-//   3. the CLIs — rcast_sim/rcast_campaign `--set key=value` and the
+//   3. the CLIs — rcast_sim/rcast_campaignd `--set key=value` and the
 //      generated `--help-params` listing,
 //   4. the result store — records serialize and round-trip the full config
 //      (campaign/result_store.cpp),

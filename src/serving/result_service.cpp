@@ -54,7 +54,8 @@ std::optional<std::string> ResultService::result_json(
   return read_line(w.file, w.entry.offset, w.entry.length);
 }
 
-campaign::AggregateRow ResultService::fold_cell(std::uint64_t cell_digest) {
+std::optional<campaign::AggregateRow> ResultService::fold_cell(
+    std::uint64_t cell_digest, const AggregateFilter* filter) {
   std::vector<std::size_t>& jobs = jobs_by_cell_[cell_digest];
   std::sort(jobs.begin(), jobs.end());
   jobs.erase(std::unique(jobs.begin(), jobs.end()), jobs.end());
@@ -65,48 +66,33 @@ campaign::AggregateRow ResultService::fold_cell(std::uint64_t cell_digest) {
     // A superseded record can leave a stale membership if the job's winner
     // moved cells (only possible with hand-mixed stores); skip it.
     if (w.entry.cell_digest != cell_digest) continue;
+    if (filter != nullptr && !filter->matches(w.entry)) continue;
     acc.add(campaign::parse_result_line(
         read_line(w.file, w.entry.offset, w.entry.length)));
   }
-  if (acc.records() == 0) {
-    throw IndexError("cell has no live records");
-  }
+  if (acc.records() == 0) return std::nullopt;
   return acc.rows().front();
 }
 
-campaign::AggregateRow ResultService::fold_cell_subset(
-    std::uint64_t cell_digest, const AggregateFilter& filter, bool& any) {
-  std::vector<std::size_t>& jobs = jobs_by_cell_[cell_digest];
-  std::sort(jobs.begin(), jobs.end());
-  jobs.erase(std::unique(jobs.begin(), jobs.end()), jobs.end());
-
-  campaign::AggregateAccumulator acc;
-  for (const std::size_t job : jobs) {
-    const Winner& w = winner_by_job_.at(job);
-    if (w.entry.cell_digest != cell_digest || !filter.matches(w.entry)) {
-      continue;
-    }
-    acc.add(campaign::parse_result_line(
-        read_line(w.file, w.entry.offset, w.entry.length)));
-  }
-  any = acc.records() != 0;
-  return any ? acc.rows().front() : campaign::AggregateRow{};
-}
-
-std::optional<campaign::AggregateRow> ResultService::aggregate_cell(
+const campaign::AggregateRow& ResultService::cached_row(
     std::uint64_t cell_digest) {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto cit = cache_.find(cell_digest);
   if (cit != cache_.end()) {
     ++stats_.hits;
     return cit->second;
   }
+  ++stats_.misses;
+  auto row = fold_cell(cell_digest);
+  if (!row) throw IndexError("cell has no live records");
+  return cache_.emplace(cell_digest, std::move(*row)).first->second;
+}
+
+std::optional<campaign::AggregateRow> ResultService::aggregate_cell(
+    std::uint64_t cell_digest) {
+  std::lock_guard<std::mutex> lock(mu_);
   const auto jit = jobs_by_cell_.find(cell_digest);
   if (jit == jobs_by_cell_.end() || jit->second.empty()) return std::nullopt;
-  ++stats_.misses;
-  campaign::AggregateRow row = fold_cell(cell_digest);
-  cache_.emplace(cell_digest, row);
-  return row;
+  return cached_row(cell_digest);
 }
 
 std::string ResultService::aggregate_csv(const AggregateFilter& filter) {
@@ -133,21 +119,10 @@ std::string ResultService::aggregate_csv(const AggregateFilter& filter) {
     if (!seen_cells.insert(cell).second) continue;
     if (!cell_filter.matches(w.entry)) continue;
     if (filter.seed) {
-      bool any = false;
-      campaign::AggregateRow row = fold_cell_subset(cell, filter, any);
-      if (any) rows.push_back(std::move(row));
+      if (auto row = fold_cell(cell, &filter)) rows.push_back(std::move(*row));
       continue;
     }
-    const auto cit = cache_.find(cell);
-    if (cit != cache_.end()) {
-      ++stats_.hits;
-      rows.push_back(cit->second);
-    } else {
-      ++stats_.misses;
-      campaign::AggregateRow row = fold_cell(cell);
-      cache_.emplace(cell, row);
-      rows.push_back(std::move(row));
-    }
+    rows.push_back(cached_row(cell));
   }
   return campaign::aggregate_csv(rows);
 }

@@ -7,7 +7,7 @@
 // write superseded by a re-run), the last-scanned record wins, and
 // aggregates fold the winning records in job-index order through
 // scenario::RunAverager — so the CSV this service exports is byte-identical
-// to `rcast_campaign export` over the merged store.
+// to `rcast_campaignd export` over the merged store.
 //
 // Cache invalidation: refresh() re-scans the files for appended records
 // (the daemon calls it when it observes journal growth) and drops exactly
@@ -85,7 +85,7 @@ class ResultService {
       std::uint64_t cell_digest);
 
   /// Aggregate CSV over every winning record that passes `filter` (default:
-  /// all of them — byte-identical to `rcast_campaign export` on the merged
+  /// all of them — byte-identical to `rcast_campaignd export` on the merged
   /// store). Rows keep first-appearance cell order, so a filtered export is
   /// exactly the unfiltered one with non-matching rows removed — except
   /// under a seed constraint, which recomputes each row from the matching
@@ -117,10 +117,12 @@ class ResultService {
                           std::size_t first_new);
   std::string read_line(std::size_t file, std::uint64_t offset,
                         std::uint32_t length);
-  campaign::AggregateRow fold_cell(std::uint64_t cell_digest);
-  campaign::AggregateRow fold_cell_subset(std::uint64_t cell_digest,
-                                          const AggregateFilter& filter,
-                                          bool& any);
+  /// Seed-average of the cell's winning records that pass `filter` (all of
+  /// them when null); nullopt when none do.
+  std::optional<campaign::AggregateRow> fold_cell(
+      std::uint64_t cell_digest, const AggregateFilter* filter = nullptr);
+  /// fold_cell through the cache, counting the hit or miss.
+  const campaign::AggregateRow& cached_row(std::uint64_t cell_digest);
 
   mutable std::mutex mu_;
   std::vector<std::string> paths_;

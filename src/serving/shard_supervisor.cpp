@@ -4,6 +4,9 @@
 #include <cstring>
 #include <stdexcept>
 
+#include <csignal>
+
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,12 +20,21 @@ pid_t ShardSupervisor::spawn(const std::vector<std::string>& argv) {
   for (const auto& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
   cargv.push_back(nullptr);
 
+  // A worker must not outlive the supervisor: an orphan would keep appending
+  // to its shard journal while a later `resume` opens a second writer on it.
+  // PR_SET_PDEATHSIG fires when the *thread* that forked exits, so spawns
+  // must stay on the main thread (start() and wait_all() run there).
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     throw std::runtime_error(std::string("fork failed: ") +
                              std::strerror(errno));
   }
   if (pid == 0) {
+    // Both calls are async-signal-safe. The getppid() check closes the race
+    // where the supervisor died before prctl() took effect.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(127);
     ::execv(cargv[0], cargv.data());
     // exec failed; _exit (not exit) — no atexit handlers in the child.
     ::_exit(127);

@@ -8,9 +8,12 @@
 // whose commit lines were lost, whose re-produced records the store's
 // last-wins dedupe absorbs. Exports stay byte-identical either way.
 //
-// fork() is followed immediately by execv() (no allocation or locking in
-// the child), so the supervisor is safe to run alongside the daemon's HTTP
-// worker threads.
+// fork() is followed only by async-signal-safe calls up to execv() (no
+// allocation or locking in the child), so the supervisor is safe to run
+// alongside the daemon's HTTP worker threads. Each worker is armed with
+// PR_SET_PDEATHSIG(SIGKILL): when the supervisor dies, even to kill -9, its
+// workers die with it instead of writing on as orphans. The signal tracks
+// the forking *thread*, so call start() and wait_all() from the main thread.
 #pragma once
 
 #include <mutex>

@@ -1,13 +1,18 @@
-// rcast_campaignd — campaign-as-a-service daemon.
+// rcast_campaignd — declarative sweep campaigns over the simulator.
 //
-// Where rcast_campaign runs one process over one journal, rcast_campaignd
-// supervises a fleet of worker *processes* (one per shard of the manifest
-// grid), serves the growing result store over HTTP while the fleet runs,
-// and keeps every byte-identity guarantee of the single-process tool: the
-// merged export of a sharded run — including one that was kill -9'd and
-// resumed — matches `rcast_campaign run && rcast_campaign export` exactly.
+// A campaign is a manifest (parameter grid) plus an output directory of
+// crash-safe shard journals and JSONL result stores. The daemon supervises
+// a fleet of worker *processes* (one per shard of the grid; one by
+// default), can serve the growing result store over HTTP while the fleet
+// runs, and keeps the byte-identity guarantee: interrupt a run any way you
+// like — Ctrl-C, kill -9 of a worker or of the daemon, power loss — and
+// `resume` continues where it stopped; the merged export matches what the
+// campaign library produces from one uninterrupted single-queue run
+// (campaign::run_campaign + campaign::export_aggregate_csv), whatever the
+// shard count.
 //
 //   rcast_campaignd run     MANIFEST --out=DIR [--shards=N] [--port=P]
+//                           [--trace=FILE [--trace-job=ID]]
 //   rcast_campaignd resume  MANIFEST --out=DIR [same knobs]
 //   rcast_campaignd serve   MANIFEST --out=DIR --port=P
 //   rcast_campaignd export  MANIFEST --out=DIR [--csv=FILE]
@@ -25,6 +30,7 @@
 // ?scheme=rcast&routing=dsr&mobility.model=rpgm&traffic.pattern=sensing
 // &nodes=60&flows=8&rate_pps=4&pause_s=30&duration_s=900&seed=3),
 // /metrics (chunked live counter stream merged across shards).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -93,9 +99,19 @@ void print_usage() {
       "  --max-jobs=N     per-worker new-job cutoff (interruption testing)\n"
       "  --max-respawns=N signal deaths tolerated per worker (default: 5)\n"
       "  --csv=FILE       export target           (default: stdout)\n"
-      "  --set KEY=VALUE  override any registered scenario parameter "
-      "(repeatable)\n"
+      "  --trace=FILE     attach a routing+MAC event trace to one job\n"
+      "  --trace-job=ID   job id to trace (default: shard 0's first pending)\n"
+      "  --set KEY=VALUE  override any registered scenario parameter in the\n"
+      "                   base config (repeatable; affects job digests, so\n"
+      "                   pass the same --set flags to every subcommand)\n"
+      "  --help-params    list every registered parameter\n"
       "  --quiet          suppress worker progress lines\n"
+      "\n"
+      "Manifest keys: name, schemes, routings, rates_pps, pauses_s (numbers\n"
+      "or 'static'), nodes, seeds, seed_base, duration_s, flows,\n"
+      "payload_bytes, speed_mps, battery_j, world_m (WxH) — plus any\n"
+      "registered parameter: one value overrides every job, a comma-separated\n"
+      "list adds a sweep axis.\n"
       "\n"
       "HTTP endpoints: /status, /results?digest=<16hex>,\n"
       "/aggregate?cell=<16hex>, /aggregate (CSV), /metrics[?watch=N].\n"
@@ -115,34 +131,26 @@ std::string metrics_path(const std::string& out_dir, std::size_t k) {
   return out_dir + "/metrics.shard" + std::to_string(k) + ".json";
 }
 
-/// Result files of a campaign directory, in precedence order (later wins):
-/// a single-process results.jsonl first if present, then shard files
-/// ascending. With `shards` > 0 the shard set is forced to exactly 0..N-1
-/// (missing files are created empty so the service can open them).
+/// Result files of a campaign directory, in shard order (later files win
+/// job-index collisions). With `shards` > 0 the set is exactly 0..N-1
+/// (missing files are created empty so the service can open them);
+/// otherwise it is every shard file present, up to the first gap.
 std::vector<std::string> discover_results(const std::string& out_dir,
                                           std::size_t shards) {
   std::vector<std::string> paths;
-  const std::string single = out_dir + "/results.jsonl";
-  if (fs::exists(single)) paths.push_back(single);
-  if (shards > 0) {
-    for (std::size_t k = 0; k < shards; ++k) {
-      const std::string p = results_path(out_dir, k);
-      if (!fs::exists(p)) std::ofstream(p, std::ios::app);
-      paths.push_back(p);
+  for (std::size_t k = 0; shards == 0 || k < shards; ++k) {
+    const std::string p = results_path(out_dir, k);
+    if (!fs::exists(p)) {
+      if (shards == 0) break;
+      std::ofstream(p, std::ios::app);
     }
-  } else {
-    for (std::size_t k = 0;; ++k) {
-      const std::string p = results_path(out_dir, k);
-      if (!fs::exists(p)) break;
-      paths.push_back(p);
-    }
+    paths.push_back(p);
   }
   return paths;
 }
 
-/// Shard journals present in a campaign directory (shard index, path),
-/// including a single-process journal.log as shard 0 when no shard
-/// journals exist.
+/// Shard journals present in a campaign directory (shard index, path), up
+/// to the first gap.
 std::vector<std::pair<std::size_t, std::string>> discover_journals(
     const std::string& out_dir) {
   std::vector<std::pair<std::size_t, std::string>> out;
@@ -151,10 +159,58 @@ std::vector<std::pair<std::size_t, std::string>> discover_journals(
     if (!fs::exists(p)) break;
     out.emplace_back(k, p);
   }
-  if (out.empty() && fs::exists(out_dir + "/journal.log")) {
-    out.emplace_back(0, out_dir + "/journal.log");
-  }
   return out;
+}
+
+/// Journal progress of one shard.
+struct ShardTally {
+  std::size_t shard = 0;
+  std::size_t ok = 0;
+  std::size_t failed = 0;
+  std::vector<std::pair<std::size_t, std::string>> failures;  // (job, error)
+  std::string error;     // why the journal was not counted, if it wasn't
+  bool foreign = false;  // the journal belongs to a different campaign
+};
+
+struct JournalTally {
+  std::vector<ShardTally> shards;
+  std::size_t ok = 0;
+  std::size_t failed = 0;
+  bool foreign = false;  // some shard journal belongs to another campaign
+};
+
+/// Reads every shard journal of `out_dir` read-only and counts its commits.
+/// A journal counts only if its header pins this campaign (digest and job
+/// count): one written for another manifest or other --set flags would put
+/// its failures on the wrong job ids, so it is flagged instead. A journal
+/// without a header yet (a worker that just started) is reported, not
+/// counted.
+JournalTally tally_journals(const std::string& out_dir,
+                            const std::string& campaign_digest,
+                            std::size_t job_count) {
+  JournalTally t;
+  for (const auto& [k, path] : discover_journals(out_dir)) {
+    ShardTally& s = t.shards.emplace_back();
+    s.shard = k;
+    try {
+      const campaign::JournalView v = campaign::Journal::load(path);
+      if (v.campaign_digest != campaign_digest || v.job_count != job_count) {
+        s.foreign = t.foreign = true;
+        s.error = path + ": journal belongs to a different campaign (digest " +
+                  v.campaign_digest + ", expected " + campaign_digest + ")";
+        continue;
+      }
+      for (const auto& [idx, e] : v.entries) {
+        (e.ok ? s.ok : s.failed) += 1;
+        if (!e.ok) s.failures.emplace_back(idx, e.error);
+      }
+    } catch (const std::exception& e) {
+      s.error = e.what();
+    }
+    t.ok += s.ok;
+    t.failed += s.failed;
+  }
+  return t;
 }
 
 // ------------------------------------------------------------ HTTP layer --
@@ -164,6 +220,7 @@ struct ServeContext {
   serving::ShardSupervisor* sup = nullptr;  // null in pure serve mode
   std::string out_dir;
   std::string campaign_name;
+  std::string campaign_digest;
   std::size_t job_count = 0;
   std::size_t shards = 1;
 
@@ -214,30 +271,22 @@ std::string status_json(ServeContext& ctx) {
   w.key("campaign").value(ctx.campaign_name);
   w.key("jobs").value(static_cast<std::uint64_t>(ctx.job_count));
   w.key("records").value(static_cast<std::uint64_t>(ctx.svc->record_count()));
-  std::size_t done = 0, ok = 0, failed = 0;
+  const JournalTally t =
+      tally_journals(ctx.out_dir, ctx.campaign_digest, ctx.job_count);
   w.key("shards").begin_array();
-  for (const auto& [k, path] : discover_journals(ctx.out_dir)) {
-    std::size_t sok = 0, sfailed = 0;
-    try {
-      const campaign::JournalView v = campaign::Journal::load(path);
-      for (const auto& [_, e] : v.entries) (e.ok ? sok : sfailed) += 1;
-    } catch (const std::exception&) {
-      // Worker hasn't written its header yet — report the shard as empty.
-    }
-    done += sok + sfailed;
-    ok += sok;
-    failed += sfailed;
+  for (const ShardTally& s : t.shards) {
     w.begin_object();
-    w.key("shard").value(static_cast<std::uint64_t>(k));
-    w.key("done").value(static_cast<std::uint64_t>(sok + sfailed));
-    w.key("ok").value(static_cast<std::uint64_t>(sok));
-    w.key("failed").value(static_cast<std::uint64_t>(sfailed));
+    w.key("shard").value(static_cast<std::uint64_t>(s.shard));
+    w.key("done").value(static_cast<std::uint64_t>(s.ok + s.failed));
+    w.key("ok").value(static_cast<std::uint64_t>(s.ok));
+    w.key("failed").value(static_cast<std::uint64_t>(s.failed));
+    if (s.foreign) w.key("mismatch").value(true);
     w.end_object();
   }
   w.end_array();
-  w.key("done").value(static_cast<std::uint64_t>(done));
-  w.key("ok").value(static_cast<std::uint64_t>(ok));
-  w.key("failed").value(static_cast<std::uint64_t>(failed));
+  w.key("done").value(static_cast<std::uint64_t>(t.ok + t.failed));
+  w.key("ok").value(static_cast<std::uint64_t>(t.ok));
+  w.key("failed").value(static_cast<std::uint64_t>(t.failed));
   if (ctx.sup != nullptr) {
     w.key("workers").begin_array();
     for (const serving::WorkerStatus& ws : ctx.sup->status()) {
@@ -458,6 +507,8 @@ int cmd_worker(const campaign::Manifest& manifest,
   opt.job_timeout_s = flags.get_double("timeout-s", 0.0);
   opt.max_jobs = static_cast<std::size_t>(flags.get_int("max-jobs", 0));
   opt.progress = !flags.get_bool("quiet", false);
+  opt.trace_path = flags.get_string("trace", "");
+  opt.trace_job = flags.get_string("trace-job", "");
   opt.shards = shards;
   opt.shard = shard;
 
@@ -541,6 +592,28 @@ int cmd_run(const campaign::Manifest& manifest,
       std::max<std::int64_t>(1, flags.get_int("shards", 1)));
   const auto jobs = campaign::expand(manifest, base);  // validate early
 
+  // The trace goes to exactly one worker, the one owning the traced job
+  // (shard 0, which traces its first pending job, when no id is given), so
+  // no two processes ever open the trace file.
+  const std::string trace = flags.get_string("trace", "");
+  const std::string trace_job = flags.get_string("trace-job", "");
+  std::size_t trace_shard = 0;
+  if (!trace_job.empty()) {
+    if (trace.empty()) {
+      std::fprintf(stderr, "--trace-job requires --trace=FILE\n");
+      return 2;
+    }
+    const auto it = std::find_if(
+        jobs.begin(), jobs.end(),
+        [&](const campaign::Job& j) { return j.id == trace_job; });
+    if (it == jobs.end()) {
+      std::fprintf(stderr, "--trace-job: no job '%s' in the manifest\n",
+                   trace_job.c_str());
+      return 2;
+    }
+    trace_shard = it->index % shards;
+  }
+
   if (!resume) {
     for (std::size_t k = 0; k < shards; ++k) {
       if (fs::exists(journal_path(out_dir, k))) {
@@ -577,6 +650,10 @@ int cmd_run(const campaign::Manifest& manifest,
                      std::to_string(flags.get_int("max-jobs", 0)));
     }
     if (flags.get_bool("quiet", false)) argv.push_back("--quiet");
+    if (!trace.empty() && k == trace_shard) {
+      argv.push_back("--trace=" + trace);
+      if (!trace_job.empty()) argv.push_back("--trace-job=" + trace_job);
+    }
     for (const std::string& kv : flags.get_all("set")) {
       argv.push_back("--set=" + kv);
     }
@@ -599,6 +676,7 @@ int cmd_run(const campaign::Manifest& manifest,
     ctx->sup = &sup;
     ctx->out_dir = out_dir;
     ctx->campaign_name = manifest.name;
+    ctx->campaign_digest = campaign::campaign_digest(manifest.name, jobs);
     ctx->job_count = jobs.size();
     ctx->shards = shards;
     server = std::make_unique<serving::HttpServer>(
@@ -611,28 +689,23 @@ int cmd_run(const campaign::Manifest& manifest,
 
   const bool all_ok = sup.wait_all();
 
-  std::size_t done = 0, ok = 0, failed = 0;
-  for (const auto& [k, path] : discover_journals(out_dir)) {
-    (void)k;
-    try {
-      const campaign::JournalView v = campaign::Journal::load(path);
-      for (const auto& [_, e] : v.entries) (e.ok ? ok : failed) += 1;
-    } catch (const std::exception&) {
-    }
+  const JournalTally t = tally_journals(
+      out_dir, campaign::campaign_digest(manifest.name, jobs), jobs.size());
+  for (const ShardTally& s : t.shards) {
+    if (s.foreign) std::fprintf(stderr, "%s\n", s.error.c_str());
   }
-  done = ok + failed;
   std::fprintf(stderr,
                "campaign '%s': %zu/%zu jobs done (%zu ok, %zu failed) across "
                "%zu shard%s\n",
-               manifest.name.c_str(), done, jobs.size(), ok, failed, shards,
-               shards == 1 ? "" : "s");
+               manifest.name.c_str(), t.ok + t.failed, jobs.size(), t.ok,
+               t.failed, shards, shards == 1 ? "" : "s");
 
   if (server && flags.get_bool("serve-after", false)) {
     std::fprintf(stderr, "fleet done — still serving (Ctrl-C to stop)\n");
     serve_until_signalled();
   }
   if (server) server->stop();
-  return all_ok && failed == 0 ? 0 : 1;
+  return all_ok && t.failed == 0 && !t.foreign ? 0 : 1;
 }
 
 int cmd_serve(const campaign::Manifest& manifest,
@@ -652,6 +725,7 @@ int cmd_serve(const campaign::Manifest& manifest,
   ctx->svc = &svc;
   ctx->out_dir = out_dir;
   ctx->campaign_name = manifest.name;
+  ctx->campaign_digest = campaign::campaign_digest(manifest.name, jobs);
   ctx->job_count = jobs.size();
   ctx->shards = shards > 0 ? shards : paths.size();
 
@@ -695,33 +769,24 @@ int cmd_status(const campaign::Manifest& manifest,
                const scenario::ScenarioConfig& base,
                const std::string& out_dir) {
   const auto jobs = campaign::expand(manifest, base);
-  const auto journals = discover_journals(out_dir);
-  std::size_t ok = 0, failed = 0;
+  const JournalTally t = tally_journals(
+      out_dir, campaign::campaign_digest(manifest.name, jobs), jobs.size());
   std::printf("campaign '%s': %zu jobs, %zu shard journal(s)\n",
-              manifest.name.c_str(), jobs.size(), journals.size());
-  for (const auto& [k, path] : journals) {
-    std::size_t sok = 0, sfailed = 0;
-    try {
-      const campaign::JournalView v = campaign::Journal::load(path);
-      for (const auto& [idx, e] : v.entries) {
-        (e.ok ? sok : sfailed) += 1;
-        if (!e.ok && idx < jobs.size()) {
-          std::printf("  FAILED %s: %s\n", jobs[idx].id.c_str(),
-                      e.error.c_str());
-        }
-      }
-    } catch (const std::exception& e) {
-      std::printf("  shard %zu: %s\n", k, e.what());
+              manifest.name.c_str(), jobs.size(), t.shards.size());
+  for (const ShardTally& s : t.shards) {
+    if (!s.error.empty()) {
+      std::printf("  shard %zu: %s\n", s.shard, s.error.c_str());
       continue;
     }
-    ok += sok;
-    failed += sfailed;
-    std::printf("  shard %zu: %zu done (%zu ok, %zu failed)\n", k,
-                sok + sfailed, sok, sfailed);
+    for (const auto& [idx, error] : s.failures) {
+      std::printf("  FAILED %s: %s\n", jobs[idx].id.c_str(), error.c_str());
+    }
+    std::printf("  shard %zu: %zu done (%zu ok, %zu failed)\n", s.shard,
+                s.ok + s.failed, s.ok, s.failed);
   }
-  std::printf("total: %zu/%zu done (%zu ok, %zu failed)\n", ok + failed,
-              jobs.size(), ok, failed);
-  return 0;
+  std::printf("total: %zu/%zu done (%zu ok, %zu failed)\n", t.ok + t.failed,
+              jobs.size(), t.ok, t.failed);
+  return t.foreign ? 1 : 0;
 }
 
 int cmd_reindex(const std::string& out_dir, const Flags& flags) {
@@ -772,15 +837,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::string key = kv.substr(0, eq);
-    for (const char* owned :
-         {"scheme", "routing", "power.scheme", "routing.protocol", "rate_pps",
-          "pause_s", "nodes", "seed"}) {
-      if (key == owned) {
-        std::fprintf(stderr,
-                     "--set %s: grid axes come from the manifest, not --set\n",
-                     key.c_str());
-        return 2;
-      }
+    if (const auto owner = campaign::axis_owner(key); !owner.empty()) {
+      std::fprintf(stderr,
+                   "--set %s: grid axis owned by the manifest (use %.*s)\n",
+                   key.c_str(), static_cast<int>(owner.size()), owner.data());
+      return 2;
     }
     try {
       scenario::set_param(base, key, kv.substr(eq + 1));
