@@ -1,5 +1,6 @@
 #include "campaign/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +12,18 @@ double Value::as_double() const {
   if (type_ == Type::kNull) return std::numeric_limits<double>::quiet_NaN();
   require(Type::kNumber);
   return num_;
+}
+
+std::uint64_t Value::as_u64() const {
+  require(Type::kNumber);
+  if (is_u64_) return u64_;
+  if (num_ < 0) {
+    throw std::runtime_error("json: negative number where u64 expected");
+  }
+  if (num_ >= 0x1p64) {
+    throw std::runtime_error("json: number beyond the u64 range");
+  }
+  throw std::runtime_error("json: non-integer number where u64 expected");
 }
 
 const Value& Value::at(const std::string& key) const {
@@ -240,6 +253,14 @@ class Parser {
     if (!grammar_ok()) {
       pos_ = start;
       fail("malformed number");
+    }
+    // Keep integer tokens exact: a double holds only 53 bits, and seeds and
+    // counters use the full 64.
+    if (tok.find_first_not_of("0123456789") == std::string::npos) {
+      std::uint64_t u = 0;
+      const char* last = tok.data() + tok.size();
+      const auto [p, ec] = std::from_chars(tok.data(), last, u);
+      if (ec == std::errc() && p == last) return Value(u);
     }
     char* end = nullptr;
     const double d = std::strtod(tok.c_str(), &end);

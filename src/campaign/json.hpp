@@ -5,6 +5,8 @@
 // subset — no comments, no trailing commas — with two conveniences:
 // doubles are printed with round-trip precision (%.17g) and non-finite
 // numbers are written as null (JSON has no NaN/Inf) and read back as NaN.
+// Non-negative integer tokens that fit 64 bits are also kept exactly, so
+// counters and seeds above 2^53 survive a round trip.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +44,12 @@ class Value {
   Value() : type_(Type::kNull) {}
   Value(bool b) : type_(Type::kBool), bool_(b) {}
   Value(double d) : type_(Type::kNumber), num_(d) {}
-  Value(std::int64_t i) : type_(Type::kNumber), num_(static_cast<double>(i)) {}
-  Value(std::uint64_t u) : type_(Type::kNumber), num_(static_cast<double>(u)) {}
+  Value(std::int64_t i) : type_(Type::kNumber), num_(static_cast<double>(i)) {
+    if (i >= 0) set_u64(static_cast<std::uint64_t>(i));
+  }
+  Value(std::uint64_t u) : type_(Type::kNumber), num_(static_cast<double>(u)) {
+    set_u64(u);
+  }
   Value(std::string s) : type_(Type::kString), str_(std::move(s)) {}
   Value(const char* s) : type_(Type::kString), str_(s) {}
   Value(Array a) : type_(Type::kArray), arr_(std::make_shared<Array>(std::move(a))) {}
@@ -60,7 +66,9 @@ class Value {
   /// Numbers only; a null reads back as NaN (the writer's encoding for
   /// non-finite doubles).
   double as_double() const;
-  std::uint64_t as_u64() const { return static_cast<std::uint64_t>(as_double()); }
+  /// Exact unsigned integers only: throws on null, negative, fractional or
+  /// exponent-form numbers and on integers beyond 2^64-1.
+  std::uint64_t as_u64() const;
   const std::string& as_string() const { require(Type::kString); return str_; }
   const Array& as_array() const { require(Type::kArray); return *arr_; }
   const Object& as_object() const { require(Type::kObject); return *obj_; }
@@ -72,10 +80,16 @@ class Value {
 
  private:
   void require(Type t) const;
+  void set_u64(std::uint64_t u) {
+    u64_ = u;
+    is_u64_ = true;
+  }
 
   Type type_;
   bool bool_ = false;
+  bool is_u64_ = false;  // number was a non-negative integer that fits u64_
   double num_ = 0.0;
+  std::uint64_t u64_ = 0;
   std::string str_;
   std::shared_ptr<Array> arr_;
   std::shared_ptr<Object> obj_;

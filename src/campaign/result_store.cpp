@@ -375,13 +375,17 @@ JobRecord parse_result_line(std::string_view line) {
 
 std::size_t scan_result_job(std::string_view line) {
   // record_to_json writes the fixed prefix {"v":2,"job":N, — peel the job
-  // index straight out of the bytes; a full parse handles anything else.
+  // index straight out of the bytes; a full parse handles anything else,
+  // including indices too long to accumulate without overflow (any 19
+  // digits fit 64 bits).
   constexpr std::string_view kPrefix = "{\"v\":2,\"job\":";
+  constexpr std::size_t kMaxFastDigits = 19;
   if (line.substr(0, kPrefix.size()) == kPrefix) {
     std::size_t job = 0;
     std::size_t i = kPrefix.size();
     bool digits = false;
-    while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
+    while (i < line.size() && line[i] >= '0' && line[i] <= '9' &&
+           i - kPrefix.size() < kMaxFastDigits) {
       job = job * 10 + static_cast<std::size_t>(line[i] - '0');
       ++i;
       digits = true;

@@ -167,12 +167,6 @@ void Channel::transmit(FramePtr frame, sim::Time duration) {
   // are contiguous in the sequence space, so FIFO ties with events outside
   // this block cannot change, and equal timestamps inside it imply the same
   // delay slot — whose members fire through one group event in grid order.
-  //
-  // All starts (and separately, ends) land within one propagation spread of
-  // each other, so two schedule hints memoize the queue-tier routing across
-  // the whole fan-out.
-  sim::Simulator::ScheduleHint start_hint;
-  sim::Simulator::ScheduleHint end_hint;
   const double rx2 = cfg_.tx_range_m * cfg_.tx_range_m;
   std::uint64_t remote_mask = 0;  // home shards with a remote receiver
   local.group_scratch.clear();
@@ -235,8 +229,8 @@ void Channel::transmit(FramePtr frame, sim::Time duration) {
         sim::EventQueue::Handler::fits_inline<decltype(on_start)>());
     static_assert(
         sim::EventQueue::Handler::fits_inline<decltype(on_end)>());
-    sim_.at(g->end_time - duration, std::move(on_start), start_hint);
-    sim_.at(g->end_time, std::move(on_end), end_hint);
+    sim_.at(g->end_time - duration, std::move(on_start));
+    sim_.at(g->end_time, std::move(on_end));
   }
   for (const PendingSingle& s : local.single_scratch) {
     if (s.rec.phy == nullptr) continue;  // promoted into a group
@@ -257,8 +251,8 @@ void Channel::transmit(FramePtr frame, sim::Time duration) {
         sim::EventQueue::Handler::fits_inline<decltype(on_start)>());
     static_assert(
         sim::EventQueue::Handler::fits_inline<decltype(on_end)>());
-    sim_.at(now + s.prop, std::move(on_start), start_hint);
-    sim_.at(end, std::move(on_end), end_hint);
+    sim_.at(now + s.prop, std::move(on_start));
+    sim_.at(end, std::move(on_end));
   }
 
   if (!local.remote_scratch.empty()) {

@@ -140,8 +140,15 @@ class ResultIndex {
 void encode_entry(const IndexEntry& e, unsigned char out[80]);
 IndexEntry decode_entry(const unsigned char in[80]);
 
-/// Builds an IndexEntry from a parsed JSONL record and its extent.
-IndexEntry entry_from_record(const campaign::JobRecord& rec,
-                             std::uint64_t offset, std::uint32_t length);
+/// Builds the IndexEntry of one JSONL line: job `job` with config `cfg`
+/// stored at `extent`. The one mapping from a job to its 80-byte record,
+/// shared by the incremental append on commit and the rebuild from the
+/// JSONL, so the two stay byte-identical. The digests are cfg's cfg/cell
+/// digests (config_digest / config_cell_digest); both callers already hold
+/// them, and recomputing the cell digest would cost a reindex ~20 %.
+IndexEntry make_index_entry(std::uint64_t job, std::string_view cfg_digest,
+                            std::string_view cell_digest,
+                            const scenario::ScenarioConfig& cfg,
+                            const campaign::AppendExtent& extent);
 
 }  // namespace rcast::serving

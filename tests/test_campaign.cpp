@@ -83,6 +83,23 @@ TEST(Json, RoundTrip) {
   EXPECT_TRUE(std::isnan(v.at("nan").as_double()));  // null -> NaN
 }
 
+// Integer tokens stay exact past 2^53; as_u64 refuses anything that is
+// not an unsigned 64-bit integer literal instead of casting a double.
+TEST(Json, U64IsExactAndStrict) {
+  EXPECT_EQ(json::parse("9007199254740993").as_u64(), 9007199254740993u);
+  EXPECT_EQ(json::parse("18446744073709551615").as_u64(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(json::Value(std::uint64_t{9007199254740993u}).as_u64(),
+            9007199254740993u);
+  EXPECT_DOUBLE_EQ(json::parse("9007199254740993").as_double(),
+                   9007199254740992.0);
+  EXPECT_THROW(json::parse("-1").as_u64(), std::runtime_error);
+  EXPECT_THROW(json::parse("2.5").as_u64(), std::runtime_error);
+  EXPECT_THROW(json::parse("18446744073709551616").as_u64(),
+               std::runtime_error);
+  EXPECT_THROW(json::parse("null").as_u64(), std::runtime_error);
+}
+
 TEST(Json, RejectsGarbage) {
   EXPECT_THROW(json::parse("{"), json::ParseError);
   EXPECT_THROW(json::parse("{\"a\":1,}"), json::ParseError);

@@ -63,9 +63,11 @@ int run(const std::string& cmd) {
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : 128;
 }
 
-std::string write_manifest(const TempDir& dir) {
+/// The tiny e2e manifest; `extra` appends manifest lines.
+std::string write_manifest(const TempDir& dir, const std::string& extra = "") {
   const std::string path = dir.file("m.txt");
   std::ofstream out(path);
+  out << extra;
   out << "name = e2e\n"
          "schemes = rcast, odpm\n"
          "routings = dsr\n"
@@ -205,35 +207,41 @@ TEST(Campaignd, KilledWorkerResumesByteIdentical) {
   EXPECT_EQ(read_file(csv), reference);
 }
 
+// The rebuild from the JSONL alone must reproduce the incrementally written
+// sidecar byte for byte — including seeds past 2^53, which a double-typed
+// JSON read would round.
 TEST(Campaignd, ReindexRebuildsByteIdenticalSidecar) {
-  TempDir dir;
-  const std::string manifest = write_manifest(dir);
-  const std::string out_dir = dir.file("reindex");
-  ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
-                " --shards=2 --threads=1 --quiet 2>/dev/null"),
-            0);
+  for (const std::string extra : {"", "seed_base = 9007199254740993\n"}) {
+    SCOPED_TRACE(extra);
+    TempDir dir;
+    const std::string manifest = write_manifest(dir, extra);
+    const std::string out_dir = dir.file("reindex");
+    ASSERT_EQ(run(kDaemon + " run " + manifest + " --out=" + out_dir +
+                  " --shards=2 --threads=1 --quiet 2>/dev/null"),
+              0);
 
-  const std::string idx0 = out_dir + "/results.shard0.jsonl.idx";
-  ASSERT_TRUE(fs::exists(idx0));
-  const std::string original = read_file(idx0);
-  ASSERT_FALSE(original.empty());
+    const std::string idx0 = out_dir + "/results.shard0.jsonl.idx";
+    ASSERT_TRUE(fs::exists(idx0));
+    const std::string original = read_file(idx0);
+    ASSERT_FALSE(original.empty());
 
-  // Deleted sidecar.
-  fs::remove(idx0);
-  ASSERT_EQ(run(kDaemon + " reindex " + manifest + " --out=" + out_dir +
-                " >/dev/null 2>&1"),
-            0);
-  EXPECT_EQ(read_file(idx0), original);
+    // Deleted sidecar.
+    fs::remove(idx0);
+    ASSERT_EQ(run(kDaemon + " reindex " + manifest + " --out=" + out_dir +
+                  " >/dev/null 2>&1"),
+              0);
+    EXPECT_EQ(read_file(idx0), original);
 
-  // Corrupted sidecar.
-  {
-    std::ofstream out(idx0, std::ios::binary | std::ios::trunc);
-    out << "garbage that is definitely not an index";
+    // Corrupted sidecar.
+    {
+      std::ofstream out(idx0, std::ios::binary | std::ios::trunc);
+      out << "garbage that is definitely not an index";
+    }
+    ASSERT_EQ(run(kDaemon + " reindex " + manifest + " --out=" + out_dir +
+                  " >/dev/null 2>&1"),
+              0);
+    EXPECT_EQ(read_file(idx0), original);
   }
-  ASSERT_EQ(run(kDaemon + " reindex " + manifest + " --out=" + out_dir +
-                " >/dev/null 2>&1"),
-            0);
-  EXPECT_EQ(read_file(idx0), original);
 }
 
 TEST(Campaignd, WorkerDiesWithKilledDaemon) {

@@ -231,6 +231,41 @@ TEST(ParamRegistryStore, EveryParamRoundTripsThroughTheStore) {
   }
 }
 
+// The seed's registered range is the full u64; seeds a double cannot hold
+// must come back exactly, or the record's config no longer matches its own
+// cfg_digest.
+TEST(ParamRegistryStore, SeedsBeyondDoublePrecisionRoundTrip) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{9007199254740993u},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    ScenarioConfig cfg;
+    cfg.seed = seed;
+    const campaign::JobRecord rec = store_round_trip(cfg);
+    EXPECT_EQ(rec.cfg.seed, seed);
+    EXPECT_EQ(rec.seed, seed);
+    EXPECT_EQ(campaign::config_digest(rec.cfg), campaign::config_digest(cfg));
+    EXPECT_EQ(rec.digest, campaign::config_digest(cfg));
+  }
+}
+
+// A u64 config member holding a negative, fractional or out-of-range number
+// is a corrupt record, not a value to cast.
+TEST(ParamRegistryStore, BadUnsignedConfigValuesAreRejected) {
+  ScenarioConfig cfg;
+  campaign::Job job;
+  job.digest = campaign::config_digest(cfg);
+  job.cfg = cfg;
+  const std::string line = campaign::record_to_json(job, RunResult{}, 1.0);
+  const std::string key = "\"seed\":" + std::to_string(cfg.seed);
+  const std::size_t at = line.find(key);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* bad : {"-1", "2.5", "18446744073709551616"}) {
+    std::string corrupt = line;
+    corrupt.replace(at, key.size(), std::string("\"seed\":") + bad);
+    EXPECT_ANY_THROW(campaign::parse_result_line(corrupt)) << bad;
+  }
+}
+
 TEST(ParamRegistryStore, DerivedGridCoordinatesComeFromConfig) {
   ScenarioConfig cfg;
   set_param(cfg, "scheme", "odpm");

@@ -618,6 +618,10 @@ TEST(ResultStore, ScanResultJobFastPath) {
             7u);
   // A record without "job" has no index to scan out.
   EXPECT_THROW(campaign::scan_result_job("{\"v\":2}"), std::exception);
+  // An index past 2^64-1 is rejected, not wrapped by the fast path.
+  EXPECT_THROW(campaign::scan_result_job(
+                   "{\"v\":2,\"job\":18446744073709551617,\"id\":\"x\"}"),
+               std::exception);
 }
 
 // --------------------------------------------------------------- averager --

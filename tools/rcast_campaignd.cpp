@@ -58,7 +58,6 @@
 #include "serving/result_index.hpp"
 #include "serving/result_service.hpp"
 #include "serving/shard_supervisor.hpp"
-#include "sim/time.hpp"
 #include "stats/live_counters.hpp"
 #include "util/flags.hpp"
 
@@ -529,26 +528,9 @@ int cmd_worker(const campaign::Manifest& manifest,
       try {
         if (!index) index = serving::ResultIndex::open(opt.results_path);
         if (extent->offset >= index->indexed_bytes()) {
-          serving::IndexEntry e;
-          e.job = job.index;
-          e.offset = extent->offset;
-          e.length = extent->length;
-          e.cfg_digest = serving::digest_to_u64(job.digest);
-          e.cell_digest =
-              serving::digest_to_u64(campaign::config_cell_digest(job.cfg));
-          e.scheme = static_cast<std::uint8_t>(job.cfg.scheme);
-          e.routing = static_cast<std::uint8_t>(job.cfg.routing);
-          e.mobility = static_cast<std::uint8_t>(
-              scenario::mobility_models().index_of(job.cfg.mobility_model));
-          e.traffic = static_cast<std::uint8_t>(
-              scenario::traffic_patterns().index_of(job.cfg.traffic_pattern));
-          e.nodes = static_cast<std::uint32_t>(job.cfg.num_nodes);
-          e.flows = static_cast<std::uint32_t>(job.cfg.num_flows);
-          e.rate_pps = job.cfg.rate_pps;
-          e.pause_s = sim::to_seconds(job.cfg.pause);
-          e.duration_s = sim::to_seconds(job.cfg.duration);
-          e.seed = job.cfg.seed;
-          index->append(e);
+          index->append(serving::make_index_entry(
+              job.index, job.digest, campaign::config_cell_digest(job.cfg),
+              job.cfg, *extent));
         }
       } catch (const std::exception& ex) {
         // The sidecar is a cache: serving rebuilds it on demand, so index

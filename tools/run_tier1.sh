@@ -10,6 +10,9 @@
 #                sanitized runs skip the benchmark pass.
 #   ctest-filter optional ctest -R regex; CI's TSan leg uses it to run just
 #                the multi-threaded suites (campaign runner, repetitions).
+#
+# The paper shape checks (ctest label `paper`, ~70 s serially in Release)
+# run in the plain leg only: sanitized legs exclude them with -LE paper.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,6 +38,9 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 CTEST_ARGS=(--test-dir "$BUILD_DIR" -j "$(nproc)" --output-on-failure)
 if [[ -n "$FILTER" ]]; then
   CTEST_ARGS+=(-R "$FILTER")
+fi
+if [[ -n "$SANITIZE" ]]; then
+  CTEST_ARGS+=(-LE paper)
 fi
 ctest "${CTEST_ARGS[@]}"
 
