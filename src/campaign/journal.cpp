@@ -1,5 +1,6 @@
 #include "campaign/journal.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -53,11 +54,11 @@ std::string token_value(const std::string& token, const char* key) {
   return token.substr(prefix.size());
 }
 
-// Parses every complete ('\n'-terminated) line of `content` into `view`.
-// Returns the byte offset just past the last complete line; anything after
-// it is a torn tail the caller may truncate (open) or ignore (load).
-std::size_t parse_journal(const std::string& path, const std::string& content,
-                          JournalView& view) {
+// Parses every complete ('\n'-terminated) line of `content` into `view`;
+// anything after the last one is a torn tail the caller may truncate (open)
+// or ignore (load).
+void parse_journal(const std::string& path, const std::string& content,
+                   JournalView& view) {
   bool have_header = false;
   std::size_t pos = 0;
   while (pos < content.size()) {
@@ -125,7 +126,6 @@ std::size_t parse_journal(const std::string& path, const std::string& content,
     }
     view.entries[e.job] = std::move(e);
   }
-  return pos;
 }
 
 std::string read_file(const std::string& path, bool& exists) {
@@ -138,6 +138,28 @@ std::string read_file(const std::string& path, bool& exists) {
 }
 
 }  // namespace
+
+void drop_torn_tail(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return;
+  const std::uint64_t size = static_cast<std::uint64_t>(in.tellg());
+  std::uint64_t keep = size;  // bytes through the last '\n'
+  char buf[4096];
+  while (keep > 0) {
+    const std::uint64_t n = std::min<std::uint64_t>(keep, sizeof(buf));
+    in.seekg(static_cast<std::streamoff>(keep - n));
+    if (!in.read(buf, static_cast<std::streamsize>(n))) {
+      throw std::filesystem::filesystem_error(
+          "cannot read torn tail", path,
+          std::make_error_code(std::errc::io_error));
+    }
+    std::uint64_t i = n;
+    while (i > 0 && buf[i - 1] != '\n') --i;
+    keep -= n - i;
+    if (i > 0) break;
+  }
+  if (keep < size) std::filesystem::resize_file(path, keep);
+}
 
 JournalView Journal::load(const std::string& path) {
   bool exists = false;
@@ -162,7 +184,7 @@ Journal Journal::open(const std::string& path,
   const std::string content = read_file(path, exists);
 
   JournalView view;
-  const std::size_t pos = parse_journal(path, content, view);
+  parse_journal(path, content, view);
   const bool have_header = !view.campaign_digest.empty();
   if (have_header) {
     if (view.campaign_digest != campaign_digest) {
@@ -177,11 +199,7 @@ Journal Journal::open(const std::string& path,
 
   // Drop torn trailing bytes so the next append starts on a fresh line
   // instead of merging with a half-written record.
-  if (pos < content.size()) {
-    std::error_code ec;
-    std::filesystem::resize_file(path, pos, ec);
-    if (ec) throw JournalError(path + ": cannot truncate torn tail: " + ec.message());
-  }
+  if (exists) drop_torn_tail(path);
 
   j.f_ = std::fopen(path.c_str(), "ab");
   if (!j.f_) throw JournalError("cannot open journal for append: " + path);

@@ -43,6 +43,13 @@ struct JournalView {
   std::map<std::size_t, JournalEntry> entries;
 };
 
+/// Truncates `path` just past its last '\n', dropping the torn trailing
+/// line a crash mid-append leaves, so the next append starts a fresh line.
+/// Scans back from EOF and never reads the whole file; a missing file is
+/// left alone. Throws std::filesystem::filesystem_error if the scan or the
+/// truncation fails.
+void drop_torn_tail(const std::string& path);
+
 class Journal {
  public:
   /// Opens `path` for appending, creating it (with a header) if absent.

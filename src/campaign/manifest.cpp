@@ -96,7 +96,6 @@ std::string num_id(double v) {
 // or extra axes they would fight the expansion loops, so the parser points
 // at the legacy spelling instead.
 constexpr std::pair<std::string_view, std::string_view> kAxisOwned[] = {
-    {"scheme", "schemes"},   {"routing", "routings"},
     {"power.scheme", "schemes"}, {"routing.protocol", "routings"},
     {"rate_pps", "rates_pps"}, {"pause_s", "pauses_s"},
     {"nodes", "nodes"},      {"seed", "seeds / seed_base"},

@@ -11,6 +11,7 @@
 #include <unistd.h>
 #endif
 
+#include "campaign/journal.hpp"
 #include "campaign/json.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/params.hpp"
@@ -31,6 +32,10 @@ void fsync_file(std::FILE* f) {
 }  // namespace
 
 ResultStore ResultStore::open_append(const std::string& path) {
+  // A torn trailing line (crash mid-append) would fuse with the first new
+  // record into one unparseable line. No reader indexes bytes past the last
+  // '\n', so dropping them is safe beside a live daemon.
+  drop_torn_tail(path);
   ResultStore s;
   s.f_ = std::fopen(path.c_str(), "ab");
   if (!s.f_) throw ResultStoreError("cannot open results file: " + path);

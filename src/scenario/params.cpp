@@ -609,13 +609,6 @@ const std::vector<Param>& param_registry() {
 }
 
 const Param* find_param(std::string_view name) {
-  // Legacy aliases: records, manifests, and CLI flags written before the
-  // policy-registry split (digest v3) used the bare axis names.
-  if (name == "scheme") {
-    name = "power.scheme";
-  } else if (name == "routing") {
-    name = "routing.protocol";
-  }
   for (const Param& p : param_registry()) {
     if (p.name == name) return &p;
   }

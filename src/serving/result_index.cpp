@@ -1,6 +1,5 @@
 #include "serving/result_index.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -134,50 +133,12 @@ ResultIndex ResultIndex::open(const std::string& jsonl_path) {
   idx.jsonl_path_ = jsonl_path;
   idx.idx_path_ = sidecar_path(jsonl_path);
 
-  // Try to adopt an existing sidecar. Any defect — bad magic, wrong
-  // version/record size, or entries past the current JSONL size (the JSONL
-  // was truncated or replaced) — falls back to a rebuild: the sidecar is
-  // derived data, never authoritative.
-  bool adopted = false;
-  {
-    std::ifstream in(idx.idx_path_, std::ios::binary);
-    if (in) {
-      unsigned char header[kHeaderSize];
-      if (in.read(reinterpret_cast<char*>(header), kHeaderSize) &&
-          std::memcmp(header, kMagic, sizeof(kMagic)) == 0 &&
-          get_u32(header + 8) == kVersion &&
-          get_u32(header + 12) == kRecordSize) {
-        std::error_code ec;
-        const auto jsonl_size =
-            std::filesystem::file_size(jsonl_path, ec);
-        const std::uint64_t limit = ec ? 0 : jsonl_size;
-        adopted = true;
-        unsigned char rec[kRecordSize];
-        while (in.read(reinterpret_cast<char*>(rec), kRecordSize)) {
-          const IndexEntry e = decode_entry(rec);
-          // Offsets must be monotone and inside the JSONL (blank lines can
-          // leave gaps); anything else is stale or corrupt — rebuild below.
-          // Bounds-check without `offset + length` so a corrupt offset near
-          // 2^64 cannot wrap past the limit.
-          if (e.offset < idx.indexed_bytes_ || e.offset > limit ||
-              std::uint64_t{e.length} + 1 > limit - e.offset) {
-            adopted = false;
-            break;
-          }
-          idx.entries_.push_back(e);
-          idx.insert_maps(idx.entries_.size() - 1);
-          idx.indexed_bytes_ = e.offset + e.length + 1;
-        }
-        // A torn trailing record (short read) is expected after a crash
-        // and simply ignored; refresh() re-derives it from the JSONL.
-      }
-    }
-  }
-
-  if (!adopted) {
+  // Adopt an existing sidecar. Any defect — bad magic, wrong version/record
+  // size, or entries past the current JSONL size (the JSONL was truncated or
+  // replaced) — falls back to a rebuild: the sidecar is derived data, never
+  // authoritative.
+  if (!idx.read_sidecar()) {
     idx.entries_.clear();
-    idx.by_cfg_.clear();
-    idx.by_cell_.clear();
     idx.indexed_bytes_ = 0;
     std::error_code ec;
     std::filesystem::remove(idx.idx_path_, ec);
@@ -200,7 +161,9 @@ ResultIndex ResultIndex::open(const std::string& jsonl_path) {
     }
   }
 
-  idx.index_new_lines(/*write_sidecar=*/true);
+  const std::size_t first_new = idx.entries_.size();
+  idx.index_new_lines();
+  idx.append_to_sidecar(first_new);
   return idx;
 }
 
@@ -210,68 +173,43 @@ ResultIndex ResultIndex::rebuild(const std::string& jsonl_path) {
   return open(jsonl_path);
 }
 
-const IndexEntry* ResultIndex::find_cfg(std::uint64_t cfg_digest) const {
-  const auto it = by_cfg_.find(cfg_digest);
-  return it == by_cfg_.end() ? nullptr : &entries_[it->second];
-}
-
-std::vector<const IndexEntry*> ResultIndex::find_cell(
-    std::uint64_t cell_digest) const {
-  std::vector<const IndexEntry*> out;
-  const auto it = by_cell_.find(cell_digest);
-  if (it == by_cell_.end()) return out;
-  out.reserve(it->second.size());
-  for (const std::size_t i : it->second) out.push_back(&entries_[i]);
-  return out;
-}
-
 std::size_t ResultIndex::refresh() {
-  // Fast path first: adopt records from the mmapped sidecar. Then scan the
-  // JSONL for any complete lines the sidecar does not cover — but once an
-  // external sidecar writer is known, stop appending our own records (each
-  // would duplicate the one the writer is about to append).
-  std::size_t added = absorb_from_sidecar();
-  added += index_new_lines(/*write_sidecar=*/!sidecar_external_);
-  return added;
+  const std::size_t before = entries_.size();
+  read_sidecar();
+  index_new_lines();
+  return entries_.size() - before;
 }
 
-std::size_t ResultIndex::absorb_from_sidecar() {
-  if (!sidecar_map_.valid() && !sidecar_map_.open(idx_path_)) return 0;
-  const std::size_t size = sidecar_map_.refresh();
-  if (size < kHeaderSize + kRecordSize) return 0;
-  const unsigned char* base = sidecar_map_.data();
-  if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0 ||
-      get_u32(base + 8) != kVersion || get_u32(base + 12) != kRecordSize) {
-    // Replaced or foreign file behind our descriptor; the JSONL scan still
-    // serves lookups, and the next open() repairs the sidecar.
-    return 0;
+bool ResultIndex::read_sidecar() {
+  std::ifstream in(idx_path_, std::ios::binary);
+  unsigned char header[kHeaderSize];
+  if (!in.read(reinterpret_cast<char*>(header), kHeaderSize) ||
+      std::memcmp(header, kMagic, sizeof(kMagic)) != 0 ||
+      get_u32(header + 8) != kVersion || get_u32(header + 12) != kRecordSize) {
+    return false;
   }
-  // Sidecar records and our entries both mirror the JSONL's line sequence,
-  // so record i corresponds to entries_[i]; anything past entries_.size()
-  // was appended by an external writer. The torn trailing record (partial
-  // write) falls out of the floor division and waits for the next refresh.
-  const std::size_t records = (size - kHeaderSize) / kRecordSize;
-  if (records <= entries_.size()) return 0;
+  in.seekg(static_cast<std::streamoff>(
+      kHeaderSize + entries_.size() * std::uint64_t{kRecordSize}));
   std::error_code ec;
   const auto jsonl_size = std::filesystem::file_size(jsonl_path_, ec);
   const std::uint64_t limit = ec ? 0 : jsonl_size;
-  std::size_t added = 0;
-  for (std::size_t i = entries_.size(); i < records; ++i) {
-    const IndexEntry e = decode_entry(base + kHeaderSize + i * kRecordSize);
-    // Same acceptance test as open(): monotone offsets, extent fully inside
-    // the JSONL. A failing record either raced ahead of its JSONL flush or
-    // is garbage — stop here; a later refresh (or a rebuild) resolves it.
+  unsigned char rec[kRecordSize];
+  // A torn trailing record (short read) is expected after a crash or while
+  // the writer is mid-append; it is simply not adopted.
+  while (in.read(reinterpret_cast<char*>(rec), kRecordSize)) {
+    const IndexEntry e = decode_entry(rec);
+    // Offsets must be monotone and inside the JSONL (blank lines can leave
+    // gaps); anything else is stale or corrupt. Bounds-check without
+    // `offset + length` so a corrupt offset near 2^64 cannot wrap past the
+    // limit.
     if (e.offset < indexed_bytes_ || e.offset > limit ||
         std::uint64_t{e.length} + 1 > limit - e.offset) {
-      break;
+      return false;
     }
     entries_.push_back(e);
-    insert_maps(entries_.size() - 1);
     indexed_bytes_ = e.offset + e.length + 1;
-    ++added;
   }
-  if (added > 0) sidecar_external_ = true;
-  return added;
+  return true;
 }
 
 void ResultIndex::append(const IndexEntry& e) {
@@ -281,66 +219,41 @@ void ResultIndex::append(const IndexEntry& e) {
                      std::to_string(indexed_bytes_) + ")");
   }
   entries_.push_back(e);
-  insert_maps(entries_.size() - 1);
   indexed_bytes_ = e.offset + e.length + 1;
-  append_to_sidecar(e);
+  append_to_sidecar(entries_.size() - 1);
 }
 
-void ResultIndex::insert_maps(std::size_t entry_idx) {
-  const IndexEntry& e = entries_[entry_idx];
-  by_cfg_[e.cfg_digest] = entry_idx;  // later entries win, like the loader
-  by_cell_[e.cell_digest].push_back(entry_idx);
-}
-
-void ResultIndex::append_to_sidecar(const IndexEntry& e) {
+void ResultIndex::append_to_sidecar(std::size_t first) {
+  if (first >= entries_.size()) return;
+  std::string batch((entries_.size() - first) * kRecordSize, '\0');
+  for (std::size_t i = first; i < entries_.size(); ++i) {
+    encode_entry(entries_[i], reinterpret_cast<unsigned char*>(
+                                  &batch[(i - first) * kRecordSize]));
+  }
   std::ofstream out(idx_path_, std::ios::binary | std::ios::app);
   if (!out) throw IndexError("cannot append to index " + idx_path_);
-  unsigned char rec[kRecordSize];
-  encode_entry(e, rec);
-  out.write(reinterpret_cast<const char*>(rec), kRecordSize);
+  out.write(batch.data(), static_cast<std::streamsize>(batch.size()));
   if (!out) throw IndexError("index write failed: " + idx_path_);
 }
 
-std::size_t ResultIndex::index_new_lines(bool write_sidecar) {
+void ResultIndex::index_new_lines() {
   std::ifstream in(jsonl_path_, std::ios::binary);
-  if (!in) {
-    // No JSONL yet (fresh campaign): an empty index is correct.
-    return 0;
-  }
+  if (!in) return;  // no JSONL yet (fresh campaign): an empty index is correct
   in.seekg(static_cast<std::streamoff>(indexed_bytes_));
-  std::size_t added = 0;
   std::string line;
-  std::string batch;  // sidecar records, written in one append at the end
-  std::uint64_t offset = indexed_bytes_;
   while (std::getline(in, line)) {
     if (in.eof()) break;  // torn trailing line: wait for the newline
-    const std::uint64_t start = offset;
-    offset += line.size() + 1;
-    if (line.empty()) {
-      // Keep indexed_bytes_ in lockstep even across blank lines so offset
-      // bookkeeping matches the JSONL exactly.
-      indexed_bytes_ = offset;
-      continue;
+    if (!line.empty()) {
+      const campaign::JobRecord rec = campaign::parse_result_line(line);
+      entries_.push_back(make_index_entry(
+          rec.job, rec.digest, rec.cell, rec.cfg,
+          campaign::AppendExtent{indexed_bytes_,
+                                 static_cast<std::uint32_t>(line.size())}));
     }
-    const campaign::JobRecord rec = campaign::parse_result_line(line);
-    IndexEntry e = make_index_entry(
-        rec.job, rec.digest, rec.cell, rec.cfg,
-        campaign::AppendExtent{start, static_cast<std::uint32_t>(line.size())});
-    entries_.push_back(e);
-    insert_maps(entries_.size() - 1);
-    indexed_bytes_ = offset;
-    unsigned char rec_bytes[kRecordSize];
-    encode_entry(e, rec_bytes);
-    batch.append(reinterpret_cast<const char*>(rec_bytes), kRecordSize);
-    ++added;
+    // Blank lines index nothing but still advance indexed_bytes_, so offset
+    // bookkeeping matches the JSONL exactly.
+    indexed_bytes_ += line.size() + 1;
   }
-  if (!batch.empty() && write_sidecar) {
-    std::ofstream out(idx_path_, std::ios::binary | std::ios::app);
-    if (!out) throw IndexError("cannot append to index " + idx_path_);
-    out.write(batch.data(), static_cast<std::streamsize>(batch.size()));
-    if (!out) throw IndexError("index write failed: " + idx_path_);
-  }
-  return added;
 }
 
 }  // namespace rcast::serving

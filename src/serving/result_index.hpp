@@ -5,8 +5,8 @@
 // thousands of queries against a 100k-record store. The sidecar
 // (`<results>.jsonl.idx`) holds one fixed-width 80-byte record per JSONL
 // line: the line's byte extent plus the two digests (cfg/v2, cell/v2) and
-// the classic grid coordinates, so point and cell lookups become a hash
-// probe plus one seek instead of a scan.
+// the classic grid coordinates, so point and cell lookups (ResultService)
+// become a hash probe plus one seek instead of a scan.
 //
 // Format (little-endian, offsets in bytes):
 //   header, 16 B:  "rcastidx" | u32 version (1) | u32 record size (80)
@@ -24,17 +24,18 @@
 // file size, so an append crash leaves at worst a torn trailing record that
 // the next open truncates — and a rebuild from the JSONL alone reproduces
 // the sidecar byte-for-byte (the --reindex test pins this).
+//
+// One writer per sidecar: only open()/rebuild() and append() write the
+// file. refresh() only reads, so a serving daemon can follow a sidecar that
+// a campaign worker keeps in lockstep with its JSONL.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "campaign/result_store.hpp"
-#include "serving/mapped_file.hpp"
 
 namespace rcast::serving {
 
@@ -87,23 +88,15 @@ class ResultIndex {
   /// JSONL bytes covered by the index (end of the last indexed line).
   std::uint64_t indexed_bytes() const { return indexed_bytes_; }
 
-  /// Last-appended entry with this cfg digest (point lookup), or nullptr.
-  const IndexEntry* find_cfg(std::uint64_t cfg_digest) const;
-
-  /// Every entry of one aggregation cell, in append order.
-  std::vector<const IndexEntry*> find_cell(std::uint64_t cell_digest) const;
-
-  /// Absorbs records appended since open()/the last refresh and indexes
-  /// them. Returns how many entries were added. The daemon calls this when
-  /// it notices journal growth.
-  ///
-  /// Two sources, tried in order:
-  ///  1. The mmapped sidecar — when another process (a campaign writer with
-  ///     its own ResultIndex) keeps the sidecar in lockstep with the JSONL,
-  ///     new records are adopted straight from the mapping: one fstat, zero
-  ///     reads, zero JSON parsing.
-  ///  2. The JSONL itself — any complete lines the sidecar does not cover
-  ///     yet are parsed and appended to the sidecar, exactly as before.
+  /// Absorbs records appended since open()/the last refresh. Returns how
+  /// many entries were added. The daemon calls this when it notices journal
+  /// growth. Never writes the sidecar:
+  ///  1. Sidecar records past entries().size() are read by path and
+  ///     accepted under the same validation as open() — record i describes
+  ///     JSONL line i, so this resumes exactly where the index stands.
+  ///  2. Complete JSONL lines the sidecar does not cover yet (its writer
+  ///     has not caught up) are parsed and indexed in memory only; their
+  ///     sidecar records, once written, are skipped by step 1 next time.
   std::size_t refresh();
 
   /// Indexes one record the caller just appended to the JSONL — the
@@ -116,24 +109,20 @@ class ResultIndex {
  private:
   ResultIndex() = default;
 
-  void insert_maps(std::size_t entry_idx);
-  void append_to_sidecar(const IndexEntry& e);
-  std::size_t index_new_lines(bool write_sidecar);
-  std::size_t absorb_from_sidecar();
+  /// Appends to entries_ the sidecar records past entries_.size() that
+  /// pass open()'s validation. False when the header is missing or foreign
+  /// or a record fails (records before it are kept); a torn trailing record
+  /// is not a failure.
+  bool read_sidecar();
+  /// Indexes the complete JSONL lines past indexed_bytes_, in memory.
+  void index_new_lines();
+  /// Appends entries_[first..] to the sidecar in one write.
+  void append_to_sidecar(std::size_t first);
 
   std::string jsonl_path_;
   std::string idx_path_;
   std::vector<IndexEntry> entries_;
   std::uint64_t indexed_bytes_ = 0;
-  /// Lazily-opened read map of the sidecar, used by refresh() to adopt
-  /// records an external writer appended without re-reading the file.
-  MappedFile sidecar_map_;
-  /// True once refresh() has adopted a record it did not write itself:
-  /// another process owns the sidecar, so the JSONL fallback must stop
-  /// appending records (they would duplicate the writer's).
-  bool sidecar_external_ = false;
-  std::unordered_map<std::uint64_t, std::size_t> by_cfg_;  // last wins
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_cell_;
 };
 
 /// Serializes one entry to its 80-byte on-disk form.

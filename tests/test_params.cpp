@@ -140,7 +140,10 @@ TEST(ParamRegistry, BoundsAndGarbageAreRejected) {
   EXPECT_THROW(set_param(cfg, "nodes", "-3"), ParamError);
   EXPECT_THROW(set_param(cfg, "nodes", "3.5"), ParamError);
   EXPECT_THROW(set_param(cfg, "mac.psm_enabled", "maybe"), ParamError);
-  EXPECT_THROW(set_param(cfg, "routing", "olsr"), ParamError);
+  EXPECT_THROW(set_param(cfg, "routing.protocol", "olsr"), ParamError);
+  // The pre-v3 key spellings are retired (stored records still read them).
+  EXPECT_THROW(set_param(cfg, "scheme", "rcast"), ParamError);
+  EXPECT_THROW(set_param(cfg, "routing", "dsr"), ParamError);
   // The failed sets must not have modified the config.
   EXPECT_EQ(campaign::config_digest(cfg),
             campaign::config_digest(ScenarioConfig{}));
@@ -148,12 +151,12 @@ TEST(ParamRegistry, BoundsAndGarbageAreRejected) {
 
 TEST(ParamRegistry, EnumAliasesCanonicalize) {
   ScenarioConfig cfg;
-  set_param(cfg, "scheme", "802.11");
-  EXPECT_EQ(param_text(cfg, "scheme"), "80211");
-  set_param(cfg, "scheme", "rcast-bcast");
-  EXPECT_EQ(param_text(cfg, "scheme"), "RCAST-BC");
-  set_param(cfg, "routing", "Aodv");
-  EXPECT_EQ(param_text(cfg, "routing"), "AODV");
+  set_param(cfg, "power.scheme", "802.11");
+  EXPECT_EQ(param_text(cfg, "power.scheme"), "80211");
+  set_param(cfg, "power.scheme", "rcast-bcast");
+  EXPECT_EQ(param_text(cfg, "power.scheme"), "RCAST-BC");
+  set_param(cfg, "routing.protocol", "Aodv");
+  EXPECT_EQ(param_text(cfg, "routing.protocol"), "AODV");
 }
 
 // --- Digest coverage --------------------------------------------------------
@@ -268,8 +271,8 @@ TEST(ParamRegistryStore, BadUnsignedConfigValuesAreRejected) {
 
 TEST(ParamRegistryStore, DerivedGridCoordinatesComeFromConfig) {
   ScenarioConfig cfg;
-  set_param(cfg, "scheme", "odpm");
-  set_param(cfg, "routing", "aodv");
+  set_param(cfg, "power.scheme", "odpm");
+  set_param(cfg, "routing.protocol", "aodv");
   set_param(cfg, "nodes", "30");
   set_param(cfg, "flows", "5");
   set_param(cfg, "rate_pps", "4");

@@ -112,9 +112,9 @@ TEST(PolicyRegistry, EnumAliasAndRegistryStringBitIdentical) {
   via_string.routing = RoutingProtocol::kAodv;
   set_param(via_string, "power.scheme", "rcast");
   set_param(via_string, "routing.protocol", "dsr");
-  // The pre-v3 spellings stay live as aliases.
-  set_param(via_string, "scheme", "RCAST");
-  set_param(via_string, "routing", "DSR");
+  // Value tokens are case-insensitive.
+  set_param(via_string, "power.scheme", "RCAST");
+  set_param(via_string, "routing.protocol", "DSR");
 
   const RunResult a = run_scenario(via_enum);
   const RunResult b = run_scenario(via_string);

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -112,6 +113,15 @@ void write_records(const std::string& path, const std::vector<Job>& jobs,
   store.close();
 }
 
+/// Last entry with this cfg digest (the loader's last-wins rule), or nullptr.
+const IndexEntry* find_cfg(const ResultIndex& idx, std::uint64_t cfg_digest) {
+  const auto& es = idx.entries();
+  const auto it = std::find_if(es.rbegin(), es.rend(), [&](const IndexEntry& e) {
+    return e.cfg_digest == cfg_digest;
+  });
+  return it == es.rend() ? nullptr : &*it;
+}
+
 // ---------------------------------------------------------------- index --
 
 TEST(ResultIndex, DigestToU64) {
@@ -172,8 +182,7 @@ TEST(ResultIndex, BuildAndPointLookup) {
   // the exact JSONL line.
   const std::string content = read_file(jsonl);
   for (const Job& job : jobs) {
-    const IndexEntry* e =
-        idx.find_cfg(serving::digest_to_u64(job.digest));
+    const IndexEntry* e = find_cfg(idx, serving::digest_to_u64(job.digest));
     ASSERT_NE(e, nullptr) << job.id;
     EXPECT_EQ(e->job, job.index);
     const std::string line = content.substr(e->offset, e->length);
@@ -184,7 +193,10 @@ TEST(ResultIndex, BuildAndPointLookup) {
 
   // Cell lookup groups exactly the seeds of one grid point.
   const auto cell = campaign::config_cell_digest(jobs[0].cfg);
-  const auto group = idx.find_cell(serving::digest_to_u64(cell));
+  std::vector<const IndexEntry*> group;
+  for (const IndexEntry& e : idx.entries()) {
+    if (e.cell_digest == serving::digest_to_u64(cell)) group.push_back(&e);
+  }
   EXPECT_EQ(group.size(), 3u);
   for (const IndexEntry* e : group) {
     EXPECT_EQ(campaign::config_cell_digest(
@@ -415,10 +427,9 @@ IndexEntry entry_for(const Job& job, std::uint64_t offset,
   return e;
 }
 
-// A reader index refreshing against a writer-maintained sidecar must adopt
-// the writer's records from the mapping instead of re-parsing the JSONL —
-// observable because the reader appends nothing to the sidecar (its size
-// stays exactly header + n records, no duplicates).
+// A reader index refreshing against a writer-maintained sidecar adopts the
+// writer's records and appends nothing to the sidecar (its size stays
+// exactly header + n records, no duplicates).
 TEST(ResultIndex, RefreshAdoptsExternalSidecarRecords) {
   TempDir dir;
   const auto jobs = make_jobs(2);
@@ -444,8 +455,7 @@ TEST(ResultIndex, RefreshAdoptsExternalSidecarRecords) {
   ASSERT_EQ(reader.entries().size(), jobs.size());
   EXPECT_EQ(fs::file_size(idx_path), sidecar_before);  // no duplicate records
   for (const Job& job : jobs) {
-    const IndexEntry* e =
-        reader.find_cfg(serving::digest_to_u64(job.digest));
+    const IndexEntry* e = find_cfg(reader, serving::digest_to_u64(job.digest));
     ASSERT_NE(e, nullptr) << job.id;
     EXPECT_EQ(e->job, job.index);
     EXPECT_EQ(e->seed, job.cfg.seed);
@@ -481,9 +491,53 @@ TEST(ResultIndex, RefreshIgnoresTornSidecarTail) {
   // The torn sidecar is left for the writer (or the next open) to repair.
   EXPECT_EQ(fs::file_size(idx_path), full - 17);
   const IndexEntry* last =
-      reader.find_cfg(serving::digest_to_u64(jobs.back().digest));
+      find_cfg(reader, serving::digest_to_u64(jobs.back().digest));
   ASSERT_NE(last, nullptr);
   EXPECT_EQ(last->job, jobs.back().index);
+}
+
+// A reader refresh() inside the writer's commit window (JSONL appended,
+// sidecar record not yet) must leave the sidecar to its one writer: the
+// reader indexes the new line in memory only, the sidecar ends with exactly
+// one record per line, and a fresh open() adopts it without rewriting it.
+TEST(ResultIndex, RefreshInCommitWindowLeavesSidecarToWriter) {
+  TempDir dir;
+  const auto jobs = make_jobs(4);  // 16 lines
+  const std::string jsonl = dir.file("results.jsonl");
+  const std::string idx_path = ResultIndex::sidecar_path(jsonl);
+
+  auto store = campaign::ResultStore::open_append(jsonl);
+  ResultIndex writer = ResultIndex::open(jsonl);
+  ResultIndex reader = ResultIndex::open(jsonl);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto extent = store.append(jobs[i], synth_result(i), 1.5);
+    const std::string before = read_file(idx_path);
+    EXPECT_EQ(reader.refresh(), 1u) << "line " << i;
+    EXPECT_TRUE(read_file(idx_path) == before) << "refresh wrote line " << i;
+    writer.append(entry_for(jobs[i], extent.offset, extent.length));
+  }
+  store.close();
+  EXPECT_EQ(reader.refresh(), 0u);
+  EXPECT_EQ(fs::file_size(idx_path), 16 + 80 * jobs.size());
+
+  // The reader's in-memory entries are the writer's records, byte for byte.
+  ASSERT_EQ(reader.entries().size(), writer.entries().size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    unsigned char a[80], b[80];
+    serving::encode_entry(reader.entries()[i], a);
+    serving::encode_entry(writer.entries()[i], b);
+    EXPECT_EQ(std::memcmp(a, b, sizeof(a)), 0) << "line " << i;
+  }
+
+  // A fresh open() adopts the sidecar as is: same bytes, mtime untouched.
+  const std::string sidecar = read_file(idx_path);
+  const auto stamp =
+      fs::file_time_type::clock::now() - std::chrono::hours(1);
+  fs::last_write_time(idx_path, stamp);
+  const ResultIndex fresh = ResultIndex::open(jsonl);
+  EXPECT_EQ(fresh.entries().size(), jobs.size());
+  EXPECT_EQ(fs::last_write_time(idx_path), stamp);
+  EXPECT_TRUE(read_file(idx_path) == sidecar);
 }
 
 // Filtered aggregates: a grid filter keeps exactly the matching rows of the
@@ -590,6 +644,48 @@ TEST(ResultStore, StreamingExportMatchesMaterialized) {
     ++streamed;
   });
   EXPECT_EQ(streamed, records.size());
+}
+
+// A resumed worker's first record must not fuse with the torn line a crash
+// left behind: open_append drops the bytes after the last '\n', so both
+// the export and the index can still parse the store.
+TEST(ResultStore, OpenAppendDropsTornTail) {
+  TempDir dir;
+  const auto jobs = make_jobs(1, 1);  // 2 jobs
+  const std::string jsonl = dir.file("results.jsonl");
+  write_records(jsonl, jobs, 0, 1);
+  const std::string clean = read_file(jsonl);
+  const std::string second =
+      campaign::record_to_json(jobs[1], synth_result(1), 1.5);
+  {  // crash 100 bytes into the second record
+    std::ofstream out(jsonl, std::ios::binary | std::ios::app);
+    out << second.substr(0, 100);
+  }
+  write_records(jsonl, jobs, 1, 2);  // the re-run appends it again
+
+  EXPECT_EQ(read_file(jsonl), clean + second + "\n");
+  EXPECT_NO_THROW(campaign::export_aggregate_csv({jsonl}));
+  EXPECT_NO_THROW({
+    const ResultIndex idx = ResultIndex::open(jsonl);
+    EXPECT_EQ(idx.entries().size(), 2u);
+  });
+}
+
+TEST(Journal, DropTornTailScansBackAcrossChunks) {
+  TempDir dir;
+  const std::string path = dir.file("torn.txt");
+  // The torn tail spans several read chunks.
+  write_file(path, "a\nbb\n" + std::string(10000, 'x'));
+  campaign::drop_torn_tail(path);
+  EXPECT_EQ(read_file(path), "a\nbb\n");
+  campaign::drop_torn_tail(path);  // complete lines: untouched
+  EXPECT_EQ(read_file(path), "a\nbb\n");
+  // No newline at all: nothing complete survives.
+  write_file(path, std::string(5000, 'y'));
+  campaign::drop_torn_tail(path);
+  EXPECT_EQ(read_file(path), "");
+  campaign::drop_torn_tail(dir.file("missing.txt"));  // no file: no-op
+  EXPECT_FALSE(fs::exists(dir.file("missing.txt")));
 }
 
 TEST(ResultStore, LargeStoreStreamingRegression) {

@@ -515,11 +515,18 @@ int cmd_worker(const campaign::Manifest& manifest,
   opt.live = &live;
 
   // Incremental index maintenance + metrics publication, both hanging off
-  // the commit hook. The index opens lazily on the first commit (the runner
-  // creates the results file); open() also covers records a previous
-  // incarnation of this shard wrote before being killed.
+  // the commit hook. The index opens before any job runs, so open() covers
+  // records a previous incarnation of this shard wrote before being killed
+  // even when nothing is left to run; a failed open is retried on the first
+  // commit.
   const std::string metrics = metrics_path(out_dir, shard);
   std::optional<serving::ResultIndex> index;
+  try {
+    index = serving::ResultIndex::open(opt.results_path);
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "shard %zu: index open failed: %s\n", shard,
+                 ex.what());
+  }
   opt.on_commit = [&](const campaign::Job& job,
                       const campaign::JobOutcome& outcome,
                       const campaign::AppendExtent* extent) {
@@ -642,17 +649,21 @@ int cmd_run(const campaign::Manifest& manifest,
     argvs.push_back(std::move(argv));
   }
 
+  // Optional serving layer over the store the fleet is writing. Its index
+  // open (which may repair a sidecar) finishes before any worker starts, so
+  // every sidecar has one writer at a time; the daemon only reads afterwards.
+  std::unique_ptr<serving::ResultService> svc;
+  if (flags.has("port")) {
+    svc = std::make_unique<serving::ResultService>(
+        discover_results(out_dir, shards));
+  }
   serving::ShardSupervisor sup(
       static_cast<int>(flags.get_int("max-respawns", 5)));
   sup.start(argvs);
 
-  // Optional serving layer over the store the fleet is writing.
-  std::unique_ptr<serving::ResultService> svc;
   std::unique_ptr<serving::HttpServer> server;
   std::shared_ptr<ServeContext> ctx;
-  if (flags.has("port")) {
-    svc = std::make_unique<serving::ResultService>(
-        discover_results(out_dir, shards));
+  if (svc) {
     ctx = std::make_shared<ServeContext>();
     ctx->svc = svc.get();
     ctx->sup = &sup;

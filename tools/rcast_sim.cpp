@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--set seed: use --seed instead\n");
       return 2;
     }
-    if (key == "scheme" || key == "power.scheme") {
+    if (key == "power.scheme") {
       if (flags.has("scheme")) {
         std::fprintf(stderr,
                      "--set %s conflicts with --scheme; pass one of them\n",
